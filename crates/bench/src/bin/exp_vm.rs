@@ -134,9 +134,11 @@ fn main() {
     let live_secs = t.elapsed().as_secs_f64();
 
     if dump {
-        std::fs::write("/tmp/e15_cold_ts.csv", cold.obs.export_timeseries_csv()).unwrap();
-        std::fs::write("/tmp/e15_live_ts.csv", live.obs.export_timeseries_csv()).unwrap();
-        std::fs::write("/tmp/e15_live_trace.jsonl", live.obs.export_trace_jsonl()).unwrap();
+        // `$TMPDIR` (default `/tmp`) receives the exports CI diffs.
+        let dir = std::env::temp_dir();
+        std::fs::write(dir.join("e15_cold_ts.csv"), cold.obs.export_timeseries_csv()).unwrap();
+        std::fs::write(dir.join("e15_live_ts.csv"), live.obs.export_timeseries_csv()).unwrap();
+        std::fs::write(dir.join("e15_live_trace.jsonl"), live.obs.export_trace_jsonl()).unwrap();
     }
 
     let hot = (HOT * 2) as usize;

@@ -1,7 +1,7 @@
 //! The per-PR perf trajectory: the 50k-node / 1M-task engine-core
 //! benchmark plus the task-VM interpreter and checkpoint round-trip
 //! microbenchmarks, serialized to `BENCH_<pr>.json` at the repo root
-//! (`--pr` selects the trajectory point, currently 10).
+//! (`--pr` selects the trajectory point, currently 12).
 //!
 //! ```sh
 //! cargo run --release --bin myrtus-bench                 # full profile
@@ -32,7 +32,7 @@
 //! identity gates make the two runs interchangeable by construction).
 
 use std::process::Command;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use myrtus::continuum::engine::{Driver, SimCore, SimEvent};
 use myrtus::continuum::ids::NodeId;
@@ -178,29 +178,54 @@ fn scrape_overhead(nodes: u64) -> (u64, f64) {
     (samples as u64, elapsed.as_nanos() as f64 / samples as f64)
 }
 
-/// Task-VM interpreter throughput: steps/sec retiring the standard
-/// compute program end-to-end, plus the mean checkpoint round-trip
-/// (snapshot a mid-flight image, serialize to canonical bytes, parse
-/// back, resume) in microseconds — the host-side cost floor under every
-/// simulated live migration.
-fn vm_microbench(reps: u32) -> (f64, f64) {
-    let program = program_for(Mix::Compute, 7, 100.0);
-    let table = CostTable::for_isa(IsaClass::Arm, 1.0);
+/// Task-VM host costs for one program mix.
+struct VmMixBench {
+    /// Interpreter steps per second retiring the program end to end.
+    steps_per_sec: f64,
+    /// Mean nanoseconds per `remaining_cycles` call on a fresh image:
+    /// the price every bodied task pays at its first dispatch.
+    fresh_price_ns: f64,
+}
 
-    let mut steps = 0u64;
-    let mut digest = 0u64;
-    let wall = Instant::now();
-    for rep in 0..reps {
-        let mut vm = VmState::new(&program, 7 ^ u64::from(rep));
-        vm.run_to_halt(&program, &table);
-        steps += vm.steps();
-        digest = digest.wrapping_add(vm.out_digest());
-    }
-    let steps_per_sec = steps as f64 / wall.elapsed().as_secs_f64();
-    assert_ne!(digest, 0, "the interpreter actually ran");
+/// Task-VM interpreter throughput and fresh-boot pricing for every
+/// standard program mix, plus the mean checkpoint round-trip (snapshot
+/// a mid-flight compute image, serialize to canonical bytes, parse
+/// back, resume) in microseconds — the host-side cost floor under
+/// every simulated live migration.
+fn vm_microbench(reps: u32) -> ([VmMixBench; 3], f64) {
+    let table = CostTable::for_isa(IsaClass::Arm, 1.0);
+    let mixes = Mix::ALL.map(|mix| {
+        let program = program_for(mix, 7, 100.0);
+        let mut steps = 0u64;
+        let mut digest = 0u64;
+        let wall = Instant::now();
+        for rep in 0..reps {
+            let mut vm = VmState::new(&program, 7 ^ u64::from(rep));
+            vm.run_to_halt(&program, &table);
+            steps += vm.steps();
+            digest = digest.wrapping_add(vm.out_digest());
+        }
+        let steps_per_sec = steps as f64 / wall.elapsed().as_secs_f64();
+        assert_ne!(digest, 0, "the interpreter actually ran");
+
+        // At least `reps` calls and 20 ms, so a memoized price is timed
+        // over enough calls to resolve it.
+        let mut calls = 0u64;
+        let mut cycles = 0u64;
+        let wall = Instant::now();
+        while calls < u64::from(reps) || wall.elapsed() < Duration::from_millis(20) {
+            let fresh = VmState::new(&program, 7 ^ calls);
+            cycles = cycles.wrapping_add(fresh.remaining_cycles(&program, &table));
+            calls += 1;
+        }
+        let fresh_price_ns = wall.elapsed().as_nanos() as f64 / calls as f64;
+        assert_ne!(cycles, 0, "pricing actually ran");
+        VmMixBench { steps_per_sec, fresh_price_ns }
+    });
 
     // Round-trip from the program's midpoint: a representative image
     // (live stack + locals + PRNG cursor), not a trivial fresh one.
+    let program = program_for(Mix::Compute, 7, 100.0);
     let mut vm = VmState::new(&program, 7);
     let (_, total_cycles) = program.full_cost(7, &table);
     vm.advance_to(&program, &table, total_cycles / 2);
@@ -212,7 +237,7 @@ fn vm_microbench(reps: u32) -> (f64, f64) {
         assert_eq!(resumed.steps(), vm.steps(), "resume preserves the step ledger");
     }
     let round_trip_us = wall.elapsed().as_secs_f64() * 1e6 / f64::from(reps);
-    (steps_per_sec, round_trip_us)
+    (mixes, round_trip_us)
 }
 
 /// Minimal extractor for the flat JSON this binary writes: the number
@@ -299,7 +324,7 @@ fn main() {
     // The quick profile still runs long enough (~0.3 s per phase) for
     // the 20% regression floor to sit above run-to-run noise.
     let (nodes, tasks) = if quick { (10_000, 200_000) } else { (50_000, 1_000_000) };
-    let pr: u32 = flag_val("--pr").map_or(10, |v| v.parse().expect("--pr takes a PR number"));
+    let pr: u32 = flag_val("--pr").map_or(12, |v| v.parse().expect("--pr takes a PR number"));
     let out_path = flag_val("--out").unwrap_or_else(|| format!("BENCH_{pr}.json"));
 
     eprintln!("engine-core storm: {nodes} nodes, {tasks} tasks, 2 runs per backend");
@@ -330,7 +355,9 @@ fn main() {
 
     let (scrape_samples, scrape_ns) = scrape_overhead(nodes.min(50_000));
     let speedup = wheel.events_per_sec / heap.events_per_sec;
-    let (vm_steps_per_sec, vm_rt_us) = vm_microbench(if quick { 20 } else { 100 });
+    let ([compute, branch, io], vm_rt_us) = vm_microbench(if quick { 20 } else { 100 });
+    // The gated `vm_steps_per_sec` key keeps its meaning: the compute mix.
+    let vm_steps_per_sec = compute.steps_per_sec;
 
     let json = format!(
         "{{\n  \"schema\": \"myrtus-bench/v1\",\n  \"pr\": {pr},\n  \"quick\": {quick},\n  \
@@ -341,7 +368,10 @@ fn main() {
          \"heap_tasks_per_sec\": {:.1},\n  \"heap_peak_rss_kb\": {},\n  \
          \"speedup_events_per_sec\": {:.2},\n  \
          \"scrape_samples_per_pass\": {},\n  \"scrape_ns_per_sample\": {:.1},\n  \
-         \"vm_steps_per_sec\": {:.1},\n  \"vm_migration_round_trip_us\": {:.2},\n  \
+         \"vm_steps_per_sec\": {:.1},\n  \"vm_branch_steps_per_sec\": {:.1},\n  \
+         \"vm_io_steps_per_sec\": {:.1},\n  \"vm_compute_fresh_price_ns\": {:.1},\n  \
+         \"vm_branch_fresh_price_ns\": {:.1},\n  \"vm_io_fresh_price_ns\": {:.1},\n  \
+         \"vm_migration_round_trip_us\": {:.2},\n  \
          \"fingerprint\": \"{:016x}\"\n}}\n",
         wheel.events,
         wheel.wall_s,
@@ -356,6 +386,11 @@ fn main() {
         scrape_samples / 4,
         scrape_ns,
         vm_steps_per_sec,
+        branch.steps_per_sec,
+        io.steps_per_sec,
+        compute.fresh_price_ns,
+        branch.fresh_price_ns,
+        io.fresh_price_ns,
         vm_rt_us,
         wheel.fingerprint,
     );
@@ -387,11 +422,14 @@ fn main() {
     );
     println!("speedup (events/sec, wheel over heap): {:.2}x", speedup);
     println!("scrape: {:.1} ns/sample ({} samples/pass)", scrape_ns, scrape_samples / 4);
-    println!(
-        "task VM: {:.1} Msteps/s, checkpoint round-trip {:.2} us",
-        vm_steps_per_sec / 1e6,
-        vm_rt_us
-    );
+    for (name, m) in [("compute", &compute), ("branch", &branch), ("io", &io)] {
+        println!(
+            "task VM {name}: {:.1} Msteps/s, fresh price {:.1} ns/call",
+            m.steps_per_sec / 1e6,
+            m.fresh_price_ns
+        );
+    }
+    println!("task VM checkpoint round-trip {vm_rt_us:.2} us");
     println!("wrote {out_path}");
 
     if let Some(baseline_path) = flag_val("--check") {

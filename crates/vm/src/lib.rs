@@ -13,10 +13,29 @@
 //! transfer bytes, resume on the destination, with no work re-executed
 //! and none skipped.
 //!
-//! Opcodes are *macro-ops* (think basic blocks, not single
-//! instructions): each costs tens to thousands of cycles, so a few
-//! thousand interpreter steps model megacycles of work and the
-//! interpreter never dominates simulation wall time.
+//! Opcodes are *macro-ops*: each costs tens to thousands of cycles, so
+//! a few thousand interpreter steps model megacycles of work. That
+//! still adds up: a bodied federation run executes hundreds of
+//! millions of steps, and the interpreter is its largest host cost.
+//! Two things keep it down.
+//!
+//! - **Run-stepping.** [`Program`] precomputes, for every pc, the
+//!   straight-line run up to and including the next `Jmp`/`Jz`/
+//!   `LoopDec`/`Halt` (or the program end): its length and its op
+//!   count per [`OpClass`]. [`VmState::advance_to`] and
+//!   [`VmState::run_to_halt`] execute a whole run at once when its
+//!   priced cost fits under the cycle target and its length under the
+//!   step bound, charging cost and steps once. Only the run that does
+//!   not fit is stepped op by op, so slice boundaries, step bounds and
+//!   checkpoints land exactly where single-stepping puts them.
+//! - **Fresh-boot price memo.** [`VmState::remaining_cycles`] prices
+//!   per-class op counts with the cost table. For a fresh image (pc 0,
+//!   no steps, empty stack, zeroed locals) of a program without
+//!   [`Op::Input`], the counts are the same for every seed — the input
+//!   PRNG is the only seed-dependent state and nothing reads it — so
+//!   they are computed once per program and reused. Every other state
+//!   (a resumed checkpoint, an input-reading program) is priced by a
+//!   run-stepped scratch run of a clone.
 //!
 //! ## Determinism rules
 //!
@@ -31,6 +50,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+use std::sync::OnceLock;
 
 /// Hard cap on operand-stack depth; pushes beyond it are dropped.
 pub const STACK_MAX: usize = 1024;
@@ -114,6 +135,23 @@ pub enum OpClass {
     /// The `Mix` compute kernel.
     Kernel,
 }
+
+impl OpClass {
+    /// Position of this class in [`CostTable::cycles`].
+    fn index(self) -> usize {
+        match self {
+            OpClass::Stack => 0,
+            OpClass::Alu => 1,
+            OpClass::Mem => 2,
+            OpClass::Branch => 3,
+            OpClass::Io => 4,
+            OpClass::Kernel => 5,
+        }
+    }
+}
+
+/// Op count per [`OpClass`], indexed like [`CostTable::cycles`].
+type ClassCounts = [u64; 6];
 
 impl Op {
     /// Cost class of this op.
@@ -229,13 +267,41 @@ impl std::fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
+/// The straight-line run starting at one pc: every op up to and
+/// including the next control op (`Jmp`, `Jz`, `LoopDec`, `Halt`) or
+/// the program end. No op inside a run moves the pc or halts, so a run
+/// executes as a unit.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    len: u64,
+    counts: ClassCounts,
+}
+
 /// An immutable validated bytecode program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the instruction stream, frame size and step
+/// bound; the derived run table and price memo follow from those.
+#[derive(Debug, Clone)]
 pub struct Program {
     ops: Vec<Op>,
     locals: u8,
     max_steps: u64,
+    /// `runs[pc]` is the straight-line run starting at `pc`.
+    runs: Vec<Run>,
+    /// Whether any op reads the seeded input stream.
+    reads_input: bool,
+    /// Per-class op counts of a fresh-boot run to halt, filled by the
+    /// first price of a fresh image when `reads_input` is false.
+    fresh_counts: OnceLock<ClassCounts>,
 }
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops && self.locals == other.locals && self.max_steps == other.max_steps
+    }
+}
+
+impl Eq for Program {}
 
 impl Program {
     /// Builds and validates a program with `locals` local slots and the
@@ -269,7 +335,18 @@ impl Program {
                 _ => {}
             }
         }
-        Ok(Program { ops, locals, max_steps })
+        let empty = Run { len: 0, counts: [0; 6] };
+        let mut runs = vec![empty; len];
+        for pc in (0..len).rev() {
+            let op = ops[pc];
+            let ends_run = matches!(op, Op::Jmp(_) | Op::Jz(_) | Op::LoopDec(_, _) | Op::Halt);
+            let mut run = if ends_run || pc + 1 == len { empty } else { runs[pc + 1] };
+            run.len += 1;
+            run.counts[op.class().index()] += 1;
+            runs[pc] = run;
+        }
+        let reads_input = ops.contains(&Op::Input);
+        Ok(Program { ops, locals, max_steps, runs, reads_input, fresh_counts: OnceLock::new() })
     }
 
     /// The instruction stream.
@@ -351,15 +428,12 @@ impl CostTable {
 
     /// Cost in cycles of one op.
     pub fn cost(&self, op: Op) -> u64 {
-        let idx = match op.class() {
-            OpClass::Stack => 0,
-            OpClass::Alu => 1,
-            OpClass::Mem => 2,
-            OpClass::Branch => 3,
-            OpClass::Io => 4,
-            OpClass::Kernel => 5,
-        };
-        self.cycles[idx] as u64
+        self.cycles[op.class().index()] as u64
+    }
+
+    /// Cost in cycles of a multiset of ops given as per-class counts.
+    fn price(&self, counts: &ClassCounts) -> u64 {
+        counts.iter().zip(self.cycles).map(|(&n, c)| n * u64::from(c)).sum()
     }
 }
 
@@ -536,7 +610,8 @@ pub struct VmState {
 
 impl VmState {
     /// Fresh machine at pc 0 with zeroed locals and the input stream
-    /// seeded from `seed`.
+    /// seeded from `seed`. A program with a zero step bound boots
+    /// halted, as its checkpoint restores.
     pub fn new(program: &Program, seed: u64) -> Self {
         VmState {
             stack: Vec::new(),
@@ -546,7 +621,7 @@ impl VmState {
             consumed: 0,
             prng: splitmix(seed ^ 0xA076_1D64_78BD_642F),
             out_digest: FNV_OFFSET,
-            halted: false,
+            halted: program.max_steps() == 0,
         }
     }
 
@@ -596,6 +671,11 @@ impl VmState {
         self.halted
     }
 
+    /// Index of the next op to execute.
+    pub fn pc(&self) -> u32 {
+        self.pc
+    }
+
     /// Steps executed so far (ISA-independent work measure).
     pub fn steps(&self) -> u64 {
         self.steps
@@ -621,18 +701,32 @@ impl VmState {
         }
     }
 
-    /// Executes one op under `table`; returns `false` once halted.
-    pub fn step(&mut self, program: &Program, table: &CostTable) -> bool {
-        if self.halted {
-            return false;
+    /// Pops b, a and pushes `f(a, b)`, rewriting the top slot in place
+    /// (the push after two pops always fits).
+    #[inline(always)]
+    fn binary(&mut self, f: impl FnOnce(i64, i64) -> i64) {
+        let b = self.pop();
+        match self.stack.last_mut() {
+            Some(a) => *a = f(*a, b),
+            None => self.stack.push(f(0, b)),
         }
-        let Some(&op) = program.ops().get(self.pc as usize) else {
-            self.halted = true;
-            return false;
-        };
-        self.consumed += table.cost(op);
-        self.steps += 1;
-        self.pc += 1;
+    }
+
+    /// Pops a and pushes `f(a)`, in place.
+    #[inline(always)]
+    fn unary(&mut self, f: impl FnOnce(i64) -> i64) {
+        match self.stack.last_mut() {
+            Some(a) => *a = f(*a),
+            None => self.stack.push(f(0)),
+        }
+    }
+
+    /// Executes one op's effect on stack, locals, pc, PRNG and digest.
+    /// The pc must already point past `op`; `end` is the program
+    /// length, where `Halt` parks the pc so a checkpoint of the halted
+    /// image restores halted.
+    #[inline(always)]
+    fn exec(&mut self, op: Op, end: u32) {
         match op {
             Op::Push(v) => self.push(v),
             Op::Pop => {
@@ -648,60 +742,17 @@ impl VmState {
                 self.push(b);
                 self.push(a);
             }
-            Op::Add => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(a.wrapping_add(b));
-            }
-            Op::Sub => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(a.wrapping_sub(b));
-            }
-            Op::Mul => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(a.wrapping_mul(b));
-            }
-            Op::And => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(a & b);
-            }
-            Op::Or => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(a | b);
-            }
-            Op::Xor => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(a ^ b);
-            }
-            Op::Shl => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(a.wrapping_shl((b & 63) as u32));
-            }
-            Op::Shr => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push(((a as u64).wrapping_shr((b & 63) as u32)) as i64);
-            }
-            Op::Not => {
-                let a = self.pop();
-                self.push(!a);
-            }
-            Op::Eq => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push((a == b) as i64);
-            }
-            Op::Lt => {
-                let b = self.pop();
-                let a = self.pop();
-                self.push((a < b) as i64);
-            }
+            Op::Add => self.binary(i64::wrapping_add),
+            Op::Sub => self.binary(i64::wrapping_sub),
+            Op::Mul => self.binary(i64::wrapping_mul),
+            Op::And => self.binary(|a, b| a & b),
+            Op::Or => self.binary(|a, b| a | b),
+            Op::Xor => self.binary(|a, b| a ^ b),
+            Op::Shl => self.binary(|a, b| a.wrapping_shl((b & 63) as u32)),
+            Op::Shr => self.binary(|a, b| ((a as u64).wrapping_shr((b & 63) as u32)) as i64),
+            Op::Not => self.unary(|a| !a),
+            Op::Eq => self.binary(|a, b| (a == b) as i64),
+            Op::Lt => self.binary(|a, b| (a < b) as i64),
             Op::Load(i) => {
                 let v = self.locals[i as usize];
                 self.push(v);
@@ -728,28 +779,75 @@ impl VmState {
                 let v = self.prng as i64;
                 self.push(v);
             }
-            Op::Mix => {
-                let a = self.pop();
-                self.push(splitmix(a as u64) as i64);
-            }
+            Op::Mix => self.unary(|a| splitmix(a as u64) as i64),
             Op::Out => {
                 let a = self.pop();
                 self.out_digest = fnv(self.out_digest, a as u64);
             }
             Op::Halt => {
                 self.halted = true;
-                return false;
+                self.pc = end;
             }
         }
+    }
+
+    /// Sets the terminal flag once the pc ran off the end or the step
+    /// bound is reached (a no-op on an already halted machine).
+    #[inline(always)]
+    fn check_bounds(&mut self, program: &Program) {
         if self.pc as usize >= program.ops().len() || self.steps >= program.max_steps() {
             self.halted = true;
+        }
+    }
+
+    /// Executes the next op without charging cycles; returns the op,
+    /// or `None` when the machine is (or just became) halted before
+    /// executing anything.
+    fn step_unpriced(&mut self, program: &Program) -> Option<Op> {
+        if self.halted {
+            return None;
+        }
+        let Some(&op) = program.ops().get(self.pc as usize) else {
+            self.halted = true;
+            return None;
+        };
+        self.steps += 1;
+        self.pc += 1;
+        self.exec(op, program.ops().len() as u32);
+        self.check_bounds(program);
+        Some(op)
+    }
+
+    /// Executes one op under `table`; returns `false` once halted.
+    pub fn step(&mut self, program: &Program, table: &CostTable) -> bool {
+        if let Some(op) = self.step_unpriced(program) {
+            self.consumed += table.cost(op);
         }
         !self.halted
     }
 
+    /// Executes the whole straight-line run of `len` ops starting at
+    /// `start` without cycle accounting. The caller has checked that
+    /// the run fits under the step bound.
+    fn exec_run(&mut self, program: &Program, start: usize, len: u64) {
+        let stop = start + len as usize;
+        let end = program.ops().len() as u32;
+        // Only the run's last op can move the pc, so point it past the
+        // run up front: fall-through lands there, a taken branch
+        // overwrites it.
+        self.pc = stop as u32;
+        for &op in &program.ops()[start..stop] {
+            self.exec(op, end);
+        }
+        self.steps += len;
+        self.check_bounds(program);
+    }
+
     /// Runs while the *next* op still fits under the absolute cycle
     /// target `target_cycles` (compared against the consumed ledger),
-    /// i.e. execution never overshoots the slice budget.
+    /// i.e. execution never overshoots the slice budget. Whole runs
+    /// that fit execute at once; the run that does not is stepped op
+    /// by op, so the machine stops exactly where single-stepping does.
     pub fn advance_to(
         &mut self,
         program: &Program,
@@ -760,30 +858,88 @@ impl VmState {
             if self.halted {
                 return SliceResult::Halted;
             }
-            let Some(&op) = program.ops().get(self.pc as usize) else {
+            let pc = self.pc as usize;
+            let Some(run) = program.runs.get(pc) else {
                 self.halted = true;
                 return SliceResult::Halted;
             };
-            if self.consumed + table.cost(op) > target_cycles {
-                return SliceResult::BudgetExhausted;
+            let cost = table.price(&run.counts);
+            if self.consumed + cost <= target_cycles && self.steps + run.len <= program.max_steps()
+            {
+                self.consumed += cost;
+                self.exec_run(program, pc, run.len);
+                continue;
             }
-            if !self.step(program, table) {
-                return SliceResult::Halted;
+            // The run does not fit: single-step it. A machine that is
+            // not halted has its pc inside the program.
+            for _ in 0..run.len {
+                let op = program.ops()[self.pc as usize];
+                if self.consumed + table.cost(op) > target_cycles {
+                    return SliceResult::BudgetExhausted;
+                }
+                if !self.step(program, table) {
+                    return SliceResult::Halted;
+                }
             }
         }
     }
 
-    /// Runs to the terminal state (bounded by the program's step cap).
-    pub fn run_to_halt(&mut self, program: &Program, table: &CostTable) {
-        while self.step(program, table) {}
+    /// Runs to the terminal state without charging cycles, run by run,
+    /// and returns the executed ops' per-class counts.
+    fn run_counts(&mut self, program: &Program) -> ClassCounts {
+        let mut counts = [0u64; 6];
+        while !self.halted {
+            let pc = self.pc as usize;
+            let Some(run) = program.runs.get(pc) else {
+                self.halted = true;
+                break;
+            };
+            if self.steps + run.len <= program.max_steps() {
+                for (c, n) in counts.iter_mut().zip(run.counts) {
+                    *c += n;
+                }
+                self.exec_run(program, pc, run.len);
+            } else {
+                // The step bound cuts this run: single-step to it.
+                while let Some(op) = self.step_unpriced(program) {
+                    counts[op.class().index()] += 1;
+                }
+            }
+        }
+        counts
     }
 
-    /// Cycles left to completion under `table`, measured by a scratch
-    /// run of a clone — the basis of per-node effective work.
+    /// Runs to the terminal state (bounded by the program's step cap).
+    pub fn run_to_halt(&mut self, program: &Program, table: &CostTable) {
+        let counts = self.run_counts(program);
+        self.consumed += table.price(&counts);
+    }
+
+    /// Whether this is a fresh-boot image: nothing executed, empty
+    /// stack, zeroed locals. Its future then depends on the seed only
+    /// through the input PRNG.
+    fn is_fresh(&self) -> bool {
+        self.pc == 0
+            && self.steps == 0
+            && self.stack.is_empty()
+            && self.locals.iter().all(|&v| v == 0)
+    }
+
+    /// Cycles left to completion under `table` — the basis of per-node
+    /// effective work. Prices the per-class op counts of the rest of
+    /// the run: memoized per program for a fresh image of a program
+    /// without [`Op::Input`], otherwise counted by a scratch run of a
+    /// clone.
     pub fn remaining_cycles(&self, program: &Program, table: &CostTable) -> u64 {
-        let mut scratch = self.clone();
-        scratch.run_to_halt(program, table);
-        scratch.consumed - self.consumed
+        if self.halted {
+            return 0;
+        }
+        let counts = if self.is_fresh() && !program.reads_input {
+            *program.fresh_counts.get_or_init(|| VmState::new(program, 0).run_counts(program))
+        } else {
+            self.clone().run_counts(program)
+        };
+        table.price(&counts)
     }
 }
 
@@ -935,6 +1091,38 @@ mod tests {
             budget += 777;
         }
         assert_eq!(sliced, whole);
+    }
+
+    #[test]
+    fn halt_before_the_last_op_survives_a_checkpoint() {
+        let p = Program::new(vec![Op::Halt, Op::Push(5), Op::Out], 0).expect("valid");
+        let t = table();
+        let mut vm = VmState::new(&p, 1);
+        vm.run_to_halt(&p, &t);
+        assert!(vm.is_halted());
+        let cp = Checkpoint::from_bytes(&vm.checkpoint(&p).to_bytes()).expect("decodes");
+        let mut resumed = VmState::from_checkpoint(&cp, &p).expect("valid");
+        assert!(resumed.is_halted(), "the halted image restores halted");
+        assert_eq!(resumed.remaining_cycles(&p, &t), 0);
+        resumed.run_to_halt(&p, &t);
+        assert_eq!(resumed, vm, "nothing executes past the Halt");
+    }
+
+    #[test]
+    fn zero_step_bound_executes_nothing() {
+        let p = Program::with_max_steps(vec![Op::Push(1), Op::Out, Op::Halt], 0, 0).expect("valid");
+        let t = table();
+        let fresh = VmState::new(&p, 3);
+        assert!(fresh.is_halted(), "a zero bound boots halted");
+        assert_eq!(fresh.remaining_cycles(&p, &t), 0);
+        let cp = Checkpoint::from_bytes(&fresh.checkpoint(&p).to_bytes()).expect("decodes");
+        let restored = VmState::from_checkpoint(&cp, &p).expect("valid");
+        assert_eq!(restored, fresh, "fresh image and its checkpoint agree");
+        let mut vm = fresh.clone();
+        assert!(!vm.step(&p, &t));
+        assert_eq!(vm.advance_to(&p, &t, u64::MAX), SliceResult::Halted);
+        vm.run_to_halt(&p, &t);
+        assert_eq!(vm, fresh, "no op ran");
     }
 
     #[test]
