@@ -5,12 +5,12 @@
 //! `myrtus-bench` binary); this suite is the quick interactive view.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use myrtus::continuum::engine::EngineBackend;
 use myrtus::continuum::engine::{NullDriver, SimCore};
 use myrtus::continuum::node::NodeSpec;
 use myrtus::continuum::task::TaskInstance;
 use myrtus::continuum::time::{SimDuration, SimTime};
 use myrtus::continuum::topology::ContinuumBuilder;
-use myrtus::mirto::EngineBackend;
 use myrtus::obs::{Obs, ObsConfig};
 
 fn splitmix(mut x: u64) -> u64 {

@@ -12,9 +12,9 @@
 
 use std::time::Instant;
 
+use myrtus::continuum::engine::EngineBackend;
 use myrtus::continuum::engine::{NullDriver, SimCore};
 use myrtus::continuum::time::{SimDuration, SimTime};
-use myrtus::mirto::EngineBackend;
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -34,13 +34,13 @@
 use std::process::Command;
 use std::time::{Duration, Instant};
 
+use myrtus::continuum::engine::EngineBackend;
 use myrtus::continuum::engine::{Driver, SimCore, SimEvent};
 use myrtus::continuum::ids::NodeId;
 use myrtus::continuum::node::NodeSpec;
 use myrtus::continuum::retry::RetryPolicy;
 use myrtus::continuum::task::TaskInstance;
 use myrtus::continuum::time::{SimDuration, SimTime};
-use myrtus::mirto::EngineBackend;
 use myrtus::obs::{Obs, ObsConfig};
 use myrtus::vm::{CostTable, IsaClass, VmState};
 use myrtus::workload::scenarios::programs::{program_for, Mix};

@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::SimCore;
 use crate::ids::{LinkId, NodeId};
 use crate::node::Layer;
@@ -20,7 +18,7 @@ use crate::task::TaskOutcome;
 use crate::time::{SimDuration, SimTime};
 
 /// Infrastructure-monitor snapshot of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot {
     /// Node id.
     pub node: NodeId,
@@ -47,7 +45,7 @@ pub struct NodeSnapshot {
 }
 
 /// Telemetry-monitor snapshot of one link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSnapshot {
     /// Link id.
     pub link: LinkId,
@@ -64,7 +62,7 @@ pub struct LinkSnapshot {
 }
 
 /// Full infrastructure + telemetry report at one instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitoringReport {
     /// Snapshot instant.
     pub at: SimTime,

@@ -1,7 +1,6 @@
 //! Replicated state-machine commands.
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A command applied to the replicated key-value state machine once its
 /// log entry commits.
@@ -12,7 +11,7 @@ pub enum KvCommand {
         /// Key.
         key: String,
         /// Value bytes.
-        value: Bytes,
+        value: Arc<[u8]>,
     },
     /// Removes `key`.
     Delete {
@@ -25,9 +24,9 @@ pub enum KvCommand {
         /// Key.
         key: String,
         /// Expected current value.
-        expect: Option<Bytes>,
+        expect: Option<Arc<[u8]>>,
         /// New value.
-        value: Bytes,
+        value: Arc<[u8]>,
     },
     /// Attaches a lease to `key`: the key is dropped when the lease
     /// expires without renewal.
@@ -35,7 +34,7 @@ pub enum KvCommand {
         /// Key.
         key: String,
         /// Value bytes.
-        value: Bytes,
+        value: Arc<[u8]>,
         /// Lease time-to-live in microseconds of logical time.
         ttl_us: u64,
     },
@@ -44,7 +43,7 @@ pub enum KvCommand {
 impl KvCommand {
     /// Convenience constructor for a UTF-8 put.
     pub fn put(key: impl Into<String>, value: impl AsRef<[u8]>) -> Self {
-        KvCommand::Put { key: key.into(), value: Bytes::copy_from_slice(value.as_ref()) }
+        KvCommand::Put { key: key.into(), value: Arc::from(value.as_ref()) }
     }
 
     /// Convenience constructor for a delete.
@@ -64,14 +63,13 @@ impl KvCommand {
 }
 
 /// A change event delivered to watchers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WatchEvent {
     /// A key was created or updated.
     Put {
         /// Key.
         key: String,
         /// New value.
-        #[serde(with = "bytes_serde")]
         value: Vec<u8>,
         /// Store revision at which the change happened.
         revision: u64,
@@ -101,21 +99,6 @@ impl WatchEvent {
     }
 }
 
-// Only referenced through `#[serde(with = "bytes_serde")]`, which the
-// vendored no-op derive does not expand; keep it for wire-format parity.
-#[allow(dead_code)]
-mod bytes_serde {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &[u8], s: S) -> Result<S::Ok, S::Error> {
-        v.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<u8>, D::Error> {
-        Vec::<u8>::deserialize(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +109,7 @@ mod tests {
         assert_eq!(p.key(), "/a");
         let d = KvCommand::delete("/b");
         assert_eq!(d.key(), "/b");
-        let c = KvCommand::Cas { key: "/c".into(), expect: None, value: Bytes::from_static(b"x") };
+        let c = KvCommand::Cas { key: "/c".into(), expect: None, value: Arc::from(&b"x"[..]) };
         assert_eq!(c.key(), "/c");
     }
 

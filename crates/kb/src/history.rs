@@ -8,13 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use myrtus_continuum::stats::Summary;
 use myrtus_continuum::time::{SimDuration, SimTime};
 
 /// One sample of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Sample instant.
     pub at: SimTime,

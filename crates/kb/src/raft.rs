@@ -942,6 +942,8 @@ impl RaftCluster {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn cluster(n: usize) -> RaftCluster {
@@ -1083,20 +1085,12 @@ mod tests {
         let leader = c.await_leader(SimTime::from_secs(3)).expect("leader");
         c.propose(
             leader,
-            KvCommand::Cas {
-                key: "/lock".into(),
-                expect: None,
-                value: bytes::Bytes::from_static(b"a"),
-            },
+            KvCommand::Cas { key: "/lock".into(), expect: None, value: Arc::from(&b"a"[..]) },
         )
         .expect("leader");
         c.propose(
             leader,
-            KvCommand::Cas {
-                key: "/lock".into(),
-                expect: None,
-                value: bytes::Bytes::from_static(b"b"),
-            },
+            KvCommand::Cas { key: "/lock".into(), expect: None, value: Arc::from(&b"b"[..]) },
         )
         .expect("leader");
         c.run_for(SimDuration::from_millis(500));

@@ -6,8 +6,7 @@
 //! replicated KV store. MIRTO's WL Manager reads this snapshot when
 //! establishing deployment or reallocation directives.
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use myrtus_continuum::ids::NodeId;
 use myrtus_continuum::monitor::NodeSnapshot;
@@ -18,7 +17,7 @@ use crate::command::KvCommand;
 use crate::store::KvStore;
 
 /// One registry record describing a continuum component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     /// The node.
     pub node: NodeId,
@@ -70,7 +69,7 @@ impl NodeRecord {
     }
 
     /// Serializes the record to its stored representation.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Arc<[u8]> {
         // A compact line format keeps the store dependency-free.
         let s = format!(
             "{}|{}|{}|{}|{:.6}|{}|{}|{}|{}|{:.6}|{}",
@@ -86,7 +85,7 @@ impl NodeRecord {
             self.energy_j,
             self.updated_at.as_micros(),
         );
-        Bytes::from(s.into_bytes())
+        s.into_bytes().into()
     }
 
     /// Parses a stored representation.

@@ -6,8 +6,7 @@
 //! replication and consistency come from the [`raft`](crate::raft) layer.
 
 use std::collections::BTreeMap;
-
-use bytes::Bytes;
+use std::sync::Arc;
 
 use myrtus_continuum::time::SimTime;
 
@@ -17,7 +16,7 @@ use crate::command::{KvCommand, WatchEvent};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// Value bytes.
-    pub value: Bytes,
+    pub value: Arc<[u8]>,
     /// Revision of the last modification.
     pub mod_revision: u64,
     /// Lease expiry, if the key is leased.
@@ -125,7 +124,7 @@ impl KvStore {
         }
     }
 
-    fn put(&mut self, key: String, value: Bytes, lease_expiry: Option<SimTime>) {
+    fn put(&mut self, key: String, value: Arc<[u8]>, lease_expiry: Option<SimTime>) {
         self.revision += 1;
         self.events.push(WatchEvent::Put {
             key: key.clone(),
@@ -197,7 +196,7 @@ impl KvStore {
             self.map.insert(
                 k.clone(),
                 Entry {
-                    value: Bytes::copy_from_slice(v),
+                    value: Arc::from(&v[..]),
                     mod_revision: *rev,
                     lease_expiry: lease.map(SimTime::from_micros),
                 },
@@ -229,12 +228,12 @@ mod tests {
         let mut kv = KvStore::new();
         // Create-if-absent.
         assert!(kv.apply(
-            &KvCommand::Cas { key: "/l".into(), expect: None, value: Bytes::from_static(b"me") },
+            &KvCommand::Cas { key: "/l".into(), expect: None, value: Arc::from(&b"me"[..]) },
             SimTime::ZERO
         ));
         // Second claimant loses.
         assert!(!kv.apply(
-            &KvCommand::Cas { key: "/l".into(), expect: None, value: Bytes::from_static(b"you") },
+            &KvCommand::Cas { key: "/l".into(), expect: None, value: Arc::from(&b"you"[..]) },
             SimTime::ZERO
         ));
         assert_eq!(kv.get("/l").map(|e| e.value.as_ref()), Some(&b"me"[..]));
@@ -242,8 +241,8 @@ mod tests {
         assert!(kv.apply(
             &KvCommand::Cas {
                 key: "/l".into(),
-                expect: Some(Bytes::from_static(b"me")),
-                value: Bytes::from_static(b"you"),
+                expect: Some(Arc::from(&b"me"[..])),
+                value: Arc::from(&b"you"[..]),
             },
             SimTime::ZERO
         ));
@@ -266,7 +265,7 @@ mod tests {
         kv.apply(
             &KvCommand::PutWithLease {
                 key: "/hb/node0".into(),
-                value: Bytes::from_static(b"alive"),
+                value: Arc::from(&b"alive"[..]),
                 ttl_us: 1_000,
             },
             SimTime::ZERO,
@@ -283,7 +282,7 @@ mod tests {
             kv.apply(
                 &KvCommand::PutWithLease {
                     key: "/hb".into(),
-                    value: Bytes::from_static(b"1"),
+                    value: Arc::from(&b"1"[..]),
                     ttl_us: 1_000,
                 },
                 now,
@@ -327,7 +326,7 @@ mod tests {
         kv.apply(
             &KvCommand::PutWithLease {
                 key: "/lease".into(),
-                value: Bytes::from_static(b"x"),
+                value: Arc::from(&b"x"[..]),
                 ttl_us: 5_000,
             },
             SimTime::from_micros(100),
@@ -357,8 +356,8 @@ mod tests {
             KvCommand::delete("/a"),
             KvCommand::Cas {
                 key: "/b".into(),
-                expect: Some(Bytes::from_static(b"2")),
-                value: Bytes::from_static(b"3"),
+                expect: Some(Arc::from(&b"2"[..])),
+                value: Arc::from(&b"3"[..]),
             },
         ];
         let mut s1 = KvStore::new();

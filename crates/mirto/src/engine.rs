@@ -19,7 +19,7 @@
 use std::collections::{HashMap, HashSet};
 
 use myrtus_continuum::admission::AdmissionPolicy;
-use myrtus_continuum::engine::{Driver, EngineBackend, SimCore, SimEvent};
+use myrtus_continuum::engine::{Driver, SimCore, SimEvent};
 use myrtus_continuum::federation::{BurstQuery, FederatedContinuum};
 use myrtus_continuum::ids::{NodeId, RegionId, TaskId};
 use myrtus_continuum::monitor::{ApplicationMonitor, MonitoringReport};
@@ -109,15 +109,6 @@ pub enum MigrationMode {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Simulator hot-path backend: timing wheel + slab tables (the
-    /// default) or the reference binary-heap + hash-table twin. Both
-    /// produce byte-identical exports; the twin exists for equivalence
-    /// testing and as the benchmark baseline. Applied when the run
-    /// starts, *before* observability arms the scrape timer — but if a
-    /// fault plan (or anything else) has already scheduled events on
-    /// the core, a non-default choice must additionally be set there
-    /// first via [`myrtus_continuum::engine::SimCore::set_backend`].
-    pub backend: EngineBackend,
     /// MAPE-K sensing/adaptation period.
     pub monitoring_period: SimDuration,
     /// Enforce Table II security constraints and overheads.
@@ -131,13 +122,11 @@ pub struct EngineConfig {
     /// Let MIRTO switch *application* operating points at run time
     /// (quality degradation under overload, refs \[29\]\[30\]).
     pub app_point_adaptation: bool,
-    /// Max resubmissions of a lost stage.
-    pub max_retries: u32,
     /// Simulator-level retry policy: lost and timed-out attempts ride
     /// the recovery queue (deterministic backoff, same task id) and are
     /// re-offered to the engine as [`SimEvent::TaskRecovered`] instead
-    /// of being dropped. `None` keeps the legacy lose-and-resubmit path
-    /// driven by `max_retries`.
+    /// of being dropped. `None` keeps the legacy lose-and-resubmit path,
+    /// which resubmits a lost stage at most `MAX_RESUBMITS` (2) times.
     pub retry: Option<RetryPolicy>,
     /// Simulator-level admission control: token-bucket rate limiting,
     /// bounded run queues and SLO-aware shedding at dispatch. Tasks of
@@ -180,14 +169,12 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            backend: EngineBackend::default(),
             monitoring_period: SimDuration::from_millis(100),
             enforce_security: true,
             node_adaptation: true,
             network_management: true,
             reallocation: true,
             app_point_adaptation: true,
-            max_retries: 2,
             retry: None,
             admission: None,
             elasticity: None,
@@ -570,9 +557,6 @@ impl OrchestrationEngine {
         horizon: SimTime,
     ) -> Result<OrchestrationReport, PlaceError> {
         self.horizon = horizon;
-        // Backend selection must precede `set_obs`: arming the scrape
-        // timer schedules the first event, freezing the queue choice.
-        continuum.sim_mut().set_backend(self.cfg.backend);
         continuum.sim_mut().set_obs(self.obs.clone());
         continuum.sim_mut().set_retry_policy(self.cfg.retry);
         continuum.sim_mut().set_admission(self.cfg.admission);
@@ -1320,6 +1304,8 @@ impl OrchestrationEngine {
     }
 
     fn on_tasks_lost(&mut self, sim: &mut SimCore, node: NodeId, tasks: Vec<TaskInstance>) {
+        // Max resubmissions of a lost stage on the legacy path.
+        const MAX_RESUBMITS: u32 = 2;
         self.sec.observe(node, myrtus_security::trust::Observation::TaskFailed);
         for t in tasks {
             self.lost_tasks += 1;
@@ -1330,7 +1316,7 @@ impl OrchestrationEngine {
             if si >= state.retries.len() || state.failed || state.done[si] {
                 continue;
             }
-            if self.cfg.reallocation && state.retries[si] < self.cfg.max_retries {
+            if self.cfg.reallocation && state.retries[si] < MAX_RESUBMITS {
                 state.retries[si] += 1;
                 self.submit_stage(sim, tag.app, tag.request, si);
             } else if !state.failed {

@@ -177,39 +177,33 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Every `"type"` tag that can appear in a JSONL export, in the
-    /// order of the DESIGN.md catalogue. Tests iterate this to assert
-    /// scenario coverage.
-    pub const ALL_TYPES: &'static [&'static str] = &[
-        "task_dispatch",
-        "task_arrive",
-        "task_start",
-        "task_complete",
-        "task_lost",
-        "task_retry",
-        "task_timeout",
-        "task_cancelled",
-        "node_crash",
-        "node_recover",
-        "link_down",
-        "link_up",
-        "mape_phase",
-        "manager_action",
-        "deploy",
-        "migrate",
+    /// order of the DESIGN.md catalogue, with the trace schema version
+    /// that introduced it: v1 the base lifecycle, v2 `task_arrive`, v3
+    /// retries, v4 admission control, v5 live migration of task bodies.
+    /// Golden-coverage tests filter by version, so a scenario that
+    /// predates a feature is never asked to emit its tags.
+    pub const CATALOGUE: &'static [(&'static str, u32)] = &[
+        ("task_dispatch", 1),
+        ("task_arrive", 2),
+        ("task_start", 1),
+        ("task_complete", 1),
+        ("task_lost", 1),
+        ("task_retry", 3),
+        ("task_timeout", 3),
+        ("task_cancelled", 3),
+        ("node_crash", 1),
+        ("node_recover", 1),
+        ("link_down", 1),
+        ("link_up", 1),
+        ("mape_phase", 1),
+        ("manager_action", 1),
+        ("deploy", 1),
+        ("migrate", 1),
+        ("task_admitted", 4),
+        ("task_shed", 4),
+        ("task_checkpoint", 5),
+        ("task_resume", 5),
     ];
-
-    /// Schema-v4 extension tags (elastic serving). Kept out of
-    /// [`Self::ALL_TYPES`] so the v3 golden-coverage test — which runs
-    /// an admission-free scenario — stays meaningful; the full
-    /// catalogue is `ALL_TYPES ∪ ELASTIC_TYPES`.
-    pub const ELASTIC_TYPES: &'static [&'static str] = &["task_admitted", "task_shed"];
-
-    /// Schema-v5 extension tags (portable task bodies). A live
-    /// migration emits `task_checkpoint` at the source and
-    /// `task_resume` at the destination; both are absent from
-    /// VM-free traces, so older golden-coverage tests stay valid. The
-    /// full catalogue is `ALL_TYPES ∪ ELASTIC_TYPES ∪ VM_TYPES`.
-    pub const VM_TYPES: &'static [&'static str] = &["task_checkpoint", "task_resume"];
 
     /// The `"type"` tag this payload serializes under.
     pub const fn type_name(&self) -> &'static str {
@@ -354,12 +348,7 @@ mod tests {
             TraceKind::TaskResume { node: 1, task: 0 },
         ];
         let names: Vec<&str> = samples.iter().map(|k| k.type_name()).collect();
-        let catalogue: Vec<&str> = TraceKind::ALL_TYPES
-            .iter()
-            .chain(TraceKind::ELASTIC_TYPES)
-            .chain(TraceKind::VM_TYPES)
-            .copied()
-            .collect();
+        let catalogue: Vec<&str> = TraceKind::CATALOGUE.iter().map(|&(ty, _)| ty).collect();
         assert_eq!(names, catalogue);
     }
 }

@@ -8,6 +8,7 @@
 //! chaos, and the elastic-serving surge.
 
 use myrtus::continuum::admission::AdmissionPolicy;
+use myrtus::continuum::engine::EngineBackend;
 use myrtus::continuum::fault::FaultPlan;
 use myrtus::continuum::ids::{LinkId, NodeId};
 use myrtus::continuum::net::Protocol;
@@ -18,7 +19,6 @@ use myrtus::continuum::topology::{Continuum, ContinuumBuilder};
 use myrtus::mirto::engine::{EngineConfig, OrchestrationEngine, OrchestrationReport};
 use myrtus::mirto::managers::elasticity::ElasticityConfig;
 use myrtus::mirto::policies::GreedyBestFit;
-use myrtus::mirto::EngineBackend;
 use myrtus::obs::ObsConfig;
 use myrtus::workload::arrival::ArrivalSpec;
 use myrtus::workload::scenarios;
@@ -91,8 +91,7 @@ where
 fn quickstart_run(backend: EngineBackend) -> OrchestrationReport {
     let mut continuum = ContinuumBuilder::new().build();
     // The backend must be chosen before the fault plan schedules its
-    // first event; the engine re-asserts the same choice from
-    // `EngineConfig::backend` (a no-op once it matches).
+    // first event.
     continuum.sim_mut().set_backend(backend);
     let link = continuum
         .sim()
@@ -112,16 +111,17 @@ fn quickstart_run(backend: EngineBackend) -> OrchestrationReport {
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
-            backend,
             obs: ObsConfig::on(),
             retry: Some(retry),
             replicate_critical: true,
             ..EngineConfig::default()
         },
     );
-    engine
+    let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(3)], SimTime::from_secs(6))
-        .expect("placeable")
+        .expect("placeable");
+    assert_eq!(continuum.sim().backend(), backend);
+    report
 }
 
 /// Chaos-style run: a seeded random fault plan (crashes, link cuts,
@@ -146,34 +146,38 @@ fn chaos_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
     .apply(continuum.sim_mut());
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
-        EngineConfig { backend, obs: ObsConfig::on(), ..EngineConfig::default() },
+        EngineConfig { obs: ObsConfig::on(), ..EngineConfig::default() },
     );
-    engine
+    let report = engine
         .run(&mut continuum, vec![scenarios::telerehab_with(2)], horizon)
-        .expect("time-zero placement precedes every fault")
+        .expect("time-zero placement precedes every fault");
+    assert_eq!(continuum.sim().backend(), backend);
+    report
 }
 
 /// Surge-style run: seeded open-loop overload through admission
 /// control, load shedding and the MAPE autoscaler.
 fn surge_run(backend: EngineBackend, seed: u64) -> OrchestrationReport {
     let mut continuum: Continuum = ContinuumBuilder::new().build();
+    continuum.sim_mut().set_backend(backend);
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
-            backend,
             obs: ObsConfig::on(),
             admission: Some(AdmissionPolicy { rate_per_window: 20, ..AdmissionPolicy::default() }),
             elasticity: Some(ElasticityConfig::default()),
             ..EngineConfig::default()
         },
     );
-    engine
+    let report = engine
         .run(
             &mut continuum,
             scenarios::surge::surge_mix(seed, SimTime::from_secs(4)),
             SimTime::from_secs(5),
         )
-        .expect("placeable")
+        .expect("placeable");
+    assert_eq!(continuum.sim().backend(), backend);
+    report
 }
 
 /// Adversarial tie-break run: everything in this workload is built to
@@ -225,14 +229,15 @@ fn collision_run(backend: EngineBackend) -> OrchestrationReport {
     let engine = OrchestrationEngine::new(
         Box::new(GreedyBestFit::new()),
         EngineConfig {
-            backend,
             obs: ObsConfig::on(),
             retry: Some(retry),
             replicate_critical: true,
             ..EngineConfig::default()
         },
     );
-    engine.run(&mut continuum, vec![app], SimTime::from_secs(2)).expect("placeable")
+    let report = engine.run(&mut continuum, vec![app], SimTime::from_secs(2)).expect("placeable");
+    assert_eq!(continuum.sim().backend(), backend);
+    report
 }
 
 #[test]
@@ -271,17 +276,18 @@ fn surge_exports_are_backend_identical() {
 }
 
 #[test]
-fn backend_plumbs_through_engine_config() {
-    // The config's backend must actually reach the core — otherwise the
-    // equivalence tests above silently compare wheel against wheel.
+fn engine_keeps_the_backend_chosen_on_the_core() {
+    // The core's own `set_backend` is the only selector: a default
+    // engine config must neither switch a heap core back to the wheel
+    // nor trip the schedule-before-select guard once faults are queued.
     let mut continuum = ContinuumBuilder::new().build();
-    assert_eq!(continuum.sim().backend(), EngineBackend::Wheel);
-    let engine = OrchestrationEngine::new(
-        Box::new(GreedyBestFit::new()),
-        EngineConfig { backend: EngineBackend::Heap, ..EngineConfig::default() },
-    );
-    engine
+    continuum.sim_mut().set_backend(EngineBackend::Heap);
+    FaultPlan::new()
+        .crash(NodeId::from_raw(1), SimTime::from_millis(400), Some(SimDuration::from_millis(400)))
+        .apply(continuum.sim_mut());
+    let report = OrchestrationEngine::new(Box::new(GreedyBestFit::new()), EngineConfig::default())
         .run(&mut continuum, vec![scenarios::telerehab_with(1)], SimTime::from_secs(2))
         .expect("placeable");
+    assert!(report.apps.iter().any(|a| a.completed > 0), "the heap run completed no request");
     assert_eq!(continuum.sim().backend(), EngineBackend::Heap);
 }

@@ -2,6 +2,8 @@
 //! Raft-replicated registry (the "distributed KB" implementation view),
 //! and every replica converges to the same Resource Registry.
 
+use std::sync::Arc;
+
 use myrtus::continuum::engine::NullDriver;
 use myrtus::continuum::monitor::MonitoringReport;
 use myrtus::continuum::time::{SimDuration, SimTime};
@@ -103,7 +105,7 @@ fn lease_based_heartbeats_expire_in_the_kb() {
             leader,
             KvCommand::PutWithLease {
                 key: "/hb/edge-0".into(),
-                value: bytes::Bytes::from_static(b"alive"),
+                value: Arc::from(&b"alive"[..]),
                 ttl_us: 200_000, // 200 ms
             },
         )

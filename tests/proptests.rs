@@ -425,7 +425,7 @@ proptest! {
         respawn_mask in any::<u64>(),
     ) {
         use myrtus::continuum::engine::{Driver, SimCore, SimEvent};
-        use myrtus::mirto::EngineBackend;
+        use myrtus::continuum::engine::EngineBackend;
 
         /// Logs every timer firing and, for tags selected by the mask,
         /// schedules a zero-delay follow-up *during dispatch* — an
