@@ -293,3 +293,109 @@ fn scale_down_during_chaos_never_wedges_the_run() {
         assert!(report.apps[0].completed > 0, "seed {seed}: progress despite chaos + scaling");
     }
 }
+
+/// FNV-1a over an export's bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV hashes of the trace, metric and time-series exports, in that
+/// order. The ring must not have overflowed: a dropped event would
+/// leave part of the run out of the hash.
+fn export_hashes(r: &OrchestrationReport) -> [u64; 3] {
+    assert_eq!(r.obs.trace_dropped(), 0, "the ring retains the whole run");
+    [
+        fnv(r.obs.export_trace_jsonl().as_bytes()),
+        fnv(r.obs.export_metrics_jsonl().as_bytes()),
+        fnv(r.obs.export_timeseries_csv().as_bytes()),
+    ]
+}
+
+#[test]
+fn surge_exports_match_the_pinned_golden() {
+    // MIRTO's per-request bookkeeping is internal: how it stores a
+    // request's stages, or when it forgets a finished request, must
+    // not move a single exported byte.
+    const GOLDEN: [(u64, [u64; 3]); 3] = [
+        (1, [0x0e65_c6e0_06cc_fed5, 0x5d02_766f_c561_68f0, 0xeb95_c3f6_7006_500d]),
+        (2, [0x57f3_cbad_5046_a4e2, 0xdaf1_9490_9b6f_6871, 0xbeac_60ba_72b2_b628]),
+        (3, [0x093c_ff98_8885_df4b, 0xb7a7_3ec1_3273_80d6, 0xdec5_a8e3_2756_f3ab]),
+    ];
+    for (seed, want) in GOLDEN {
+        assert_eq!(export_hashes(&surge_run(seed)), want, "seed {seed}: trace, metrics, CSV");
+    }
+}
+
+/// Every MIRTO feature that can deliver an event for a request that
+/// has already reached its final state, on at once: admission sheds
+/// stages, a per-attempt timeout retries stages whose request may have
+/// failed meanwhile, `replicate_critical` races twins, the autoscaler
+/// adds hosts and app-point adaptation re-scales later requests. A
+/// 100 fps pose pipeline and a best-effort fan-out ride on the surge
+/// mix. The fan-out runs two branches of one request at once, so a
+/// shed or abandoned branch retires the request while its sibling is
+/// still queued or awaiting a retry.
+fn late_event_run(seed: u64) -> OrchestrationReport {
+    use myrtus::continuum::net::Protocol;
+    use myrtus::workload::tosca::{Application, Component, ComponentKind};
+    use myrtus::workload::ArrivalSpec;
+    let window = SimTime::from_millis(1_500);
+    let mut pose = myrtus::workload::scenarios::telerehab_with(2);
+    pose.arrival = ArrivalSpec::periodic(SimDuration::from_millis(10), 150);
+    let fanout =
+        Application::new("fanout", ArrivalSpec::periodic(SimDuration::from_millis(3), 500))
+            .with_component(Component::new("src", ComponentKind::Sensor).with_work_mc(0.5))
+            .with_component(Component::new("left", ComponentKind::Function).with_work_mc(30.0))
+            .with_component(Component::new("right", ComponentKind::Function).with_work_mc(60.0))
+            .with_component(Component::new("sink", ComponentKind::Storage).with_work_mc(1.0))
+            .with_connection("src", "left", 20_000, Protocol::Mqtt)
+            .with_connection("src", "right", 20_000, Protocol::Mqtt)
+            .with_connection("left", "sink", 1_000, Protocol::Mqtt)
+            .with_connection("right", "sink", 1_000, Protocol::Mqtt);
+    let mut apps = surge::surge_mix(seed, window);
+    apps.extend([pose, fanout]);
+    run_orchestration(
+        Box::new(GreedyBestFit::new()),
+        EngineConfig {
+            seed,
+            retry: Some(RetryPolicy {
+                attempt_timeout: Some(SimDuration::from_millis(150)),
+                ..RetryPolicy::default()
+            }),
+            elasticity: Some(ElasticityConfig {
+                scale_up_queue: 2.0,
+                scale_up_utilization: 0.5,
+                ..ElasticityConfig::default()
+            }),
+            replicate_critical: true,
+            app_point_adaptation: true,
+            ..elastic_config()
+        },
+        apps,
+        SimTime::from_secs(2),
+    )
+    .expect("surge mix places")
+}
+
+#[test]
+fn late_events_for_finished_requests_match_the_pinned_golden() {
+    const GOLDEN: [(u64, [u64; 3]); 3] = [
+        (1, [0x9dd0_4f98_f33c_f6c7, 0x4397_6ba7_640d_8680, 0x1b00_d481_315d_c17c]),
+        (2, [0x4088_9140_7e0b_88eb, 0x234c_82c0_5e84_87de, 0x3ff2_bea5_ddb4_71ea]),
+        (3, [0xbcee_1dbe_15a5_952c, 0xcdef_d777_f22c_ef9f, 0x861a_a25d_d597_a390]),
+    ];
+    for (seed, want) in GOLDEN {
+        let r = late_event_run(seed);
+        for counter in ["task_timeouts", "task_gave_up", "replica_dedups", "scale_ups"] {
+            assert!(r.obs.counter_value(counter, "") > 0, "seed {seed}: {counter} fires");
+        }
+        assert!(r.obs.counter_sum("tasks_shed") > 0, "seed {seed}: admission sheds");
+        assert!(r.app_point_switches > 0, "seed {seed}: the app-point ladder moves");
+        let fanout = r.apps.last().expect("fan-out app");
+        assert!(
+            fanout.completed > 0 && fanout.failed > 0 && fanout.shed > 0,
+            "seed {seed}: fan-out requests end every way: {fanout:?}"
+        );
+        assert_eq!(export_hashes(&r), want, "seed {seed}: trace, metrics, CSV");
+    }
+}
