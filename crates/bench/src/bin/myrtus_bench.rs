@@ -1,7 +1,7 @@
 //! The per-PR perf trajectory: the 50k-node / 1M-task engine-core
 //! benchmark plus the task-VM interpreter and checkpoint round-trip
 //! microbenchmarks, serialized to `BENCH_<pr>.json` at the repo root
-//! (`--pr` selects the trajectory point, currently 12).
+//! (`--pr` selects the trajectory point, currently 14).
 //!
 //! ```sh
 //! cargo run --release --bin myrtus-bench                 # full profile
@@ -324,7 +324,7 @@ fn main() {
     // The quick profile still runs long enough (~0.3 s per phase) for
     // the 20% regression floor to sit above run-to-run noise.
     let (nodes, tasks) = if quick { (10_000, 200_000) } else { (50_000, 1_000_000) };
-    let pr: u32 = flag_val("--pr").map_or(12, |v| v.parse().expect("--pr takes a PR number"));
+    let pr: u32 = flag_val("--pr").map_or(14, |v| v.parse().expect("--pr takes a PR number"));
     let out_path = flag_val("--out").unwrap_or_else(|| format!("BENCH_{pr}.json"));
 
     eprintln!("engine-core storm: {nodes} nodes, {tasks} tasks, 2 runs per backend");

@@ -69,8 +69,8 @@ pub enum WatchEvent {
     Put {
         /// Key.
         key: String,
-        /// New value.
-        value: Vec<u8>,
+        /// New value, shared with the store entry.
+        value: Arc<[u8]>,
         /// Store revision at which the change happened.
         revision: u64,
     },
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn watch_event_accessors() {
-        let e = WatchEvent::Put { key: "/k".into(), value: b"v".to_vec(), revision: 4 };
+        let e = WatchEvent::Put { key: "/k".into(), value: Arc::from(&b"v"[..]), revision: 4 };
         assert_eq!(e.key(), "/k");
         assert_eq!(e.revision(), 4);
         let d = WatchEvent::Delete { key: "/k".into(), revision: 5 };

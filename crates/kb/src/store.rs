@@ -128,7 +128,7 @@ impl KvStore {
         self.revision += 1;
         self.events.push(WatchEvent::Put {
             key: key.clone(),
-            value: value.to_vec(),
+            value: Arc::clone(&value),
             revision: self.revision,
         });
         self.map.insert(key, Entry { value, mod_revision: self.revision, lease_expiry });

@@ -79,33 +79,38 @@ impl PrivacySecurityManager {
         self.trust.observe(node, obs);
     }
 
-    /// Per-component candidate nodes: up, memory-sufficient, security-
-    /// capable and trusted. Without enforcement only liveness and memory
-    /// filter.
+    /// Candidate nodes for one component: up, memory-sufficient,
+    /// security-capable and trusted. Without enforcement only liveness
+    /// and memory filter.
+    pub fn component_candidates(
+        &self,
+        sim: &SimCore,
+        app: &Application,
+        component_idx: usize,
+    ) -> Vec<NodeId> {
+        let comp = &app.components[component_idx];
+        let need = level_for_tier(comp.requirements.security);
+        sim.nodes()
+            .iter()
+            .filter(|n| n.is_up())
+            .filter(|n| n.spec().mem_mb() >= comp.requirements.mem_mb)
+            .filter(|n| {
+                !self.enforce
+                    || (node_security_level(n.spec().kind()) >= need
+                        && self.trust.score(n.id()) >= self.min_trust)
+            })
+            .map(|n| n.id())
+            .collect()
+    }
+
+    /// [`Self::component_candidates`] for every DAG node, in DAG order.
     pub fn candidates(
         &self,
         sim: &SimCore,
         app: &Application,
         dag: &RequestDag,
     ) -> Vec<Vec<NodeId>> {
-        dag.nodes()
-            .iter()
-            .map(|dn| {
-                let comp = &app.components[dn.component_idx];
-                let need = level_for_tier(comp.requirements.security);
-                sim.nodes()
-                    .iter()
-                    .filter(|n| n.is_up())
-                    .filter(|n| n.spec().mem_mb() >= comp.requirements.mem_mb)
-                    .filter(|n| {
-                        !self.enforce
-                            || (node_security_level(n.spec().kind()) >= need
-                                && self.trust.score(n.id()) >= self.min_trust)
-                    })
-                    .map(|n| n.id())
-                    .collect()
-            })
-            .collect()
+        dag.nodes().iter().map(|dn| self.component_candidates(sim, app, dn.component_idx)).collect()
     }
 
     /// Extra software work (megacycles) for protecting `bytes` of
@@ -186,6 +191,28 @@ mod tests {
         // Without enforcement every up node qualifies (memory permitting).
         let open = PrivacySecurityManager::new(false).candidates(c.sim(), &app, &dag);
         assert!(open[store_stage].len() > cands[store_stage].len());
+    }
+
+    #[test]
+    fn per_component_candidates_match_the_dag_sweep() {
+        let c = ContinuumBuilder::new().build();
+        let app = scenarios::telerehab();
+        let dag = RequestDag::from_application(&app).expect("valid");
+        for enforce in [true, false] {
+            let mut mgr = PrivacySecurityManager::new(enforce);
+            // Distrust one capable node so the trust filter has work.
+            let shaky = c.sim().nodes()[0].id();
+            for _ in 0..50 {
+                mgr.observe(shaky, Observation::TaskFailed);
+            }
+            let all = mgr.candidates(c.sim(), &app, &dag);
+            assert_eq!(all.len(), dag.nodes().len());
+            assert_eq!(enforce, all.iter().all(|v| !v.contains(&shaky)), "trust gates it");
+            for (dn, want) in dag.nodes().iter().zip(&all) {
+                let got = mgr.component_candidates(c.sim(), &app, dn.component_idx);
+                assert_eq!(&got, want, "{} (enforce {enforce})", dn.name);
+            }
+        }
     }
 
     #[test]

@@ -66,19 +66,21 @@ impl TimeSeriesStore {
 
     /// All samples of `name{label}`, oldest first (empty when absent).
     pub fn series(&self, name: &'static str, label: &str) -> Vec<TsSample> {
+        self.last_n(name, label, usize::MAX)
+    }
+
+    /// The last `n` samples of `name{label}`, oldest first. Copies only
+    /// those samples.
+    pub fn last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
         let map = self.lock();
         let Some(labels) = map.get(name) else { return Vec::new() };
         match labels.binary_search_by(|ls| ls.label.as_str().cmp(label)) {
-            Ok(i) => labels[i].samples.clone(),
+            Ok(i) => {
+                let s = &labels[i].samples;
+                s[s.len().saturating_sub(n)..].to_vec()
+            }
             Err(_) => Vec::new(),
         }
-    }
-
-    /// The last `n` samples of `name{label}`, oldest first.
-    pub fn last_n(&self, name: &'static str, label: &str, n: usize) -> Vec<TsSample> {
-        let s = self.series(name, label);
-        let skip = s.len().saturating_sub(n);
-        s[skip..].to_vec()
     }
 
     /// Sorted `(series, label)` keys present in the store.
@@ -198,6 +200,20 @@ mod tests {
         assert_eq!(tail[0].value, 3.0);
         assert_eq!(tail[1].value, 4.0);
         assert_eq!(ts.last_n("x", "", 99).len(), 5);
+    }
+
+    #[test]
+    fn last_n_edge_cases() {
+        let ts = TimeSeriesStore::new();
+        for i in 0..3 {
+            ts.record("x", "a", i * 10, i as f64);
+        }
+        let all = ts.series("x", "a");
+        assert_eq!(ts.last_n("x", "a", 4), all, "n > len yields the whole series");
+        assert_eq!(ts.last_n("x", "a", usize::MAX), all);
+        assert!(ts.last_n("x", "a", 0).is_empty(), "n = 0 yields nothing");
+        assert!(ts.last_n("y", "a", 2).is_empty(), "missing series");
+        assert!(ts.last_n("x", "b", 2).is_empty(), "missing label");
     }
 
     #[test]
