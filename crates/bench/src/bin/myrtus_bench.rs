@@ -1,7 +1,7 @@
 //! The per-PR perf trajectory: the 50k-node / 1M-task engine-core
 //! benchmark plus the task-VM interpreter and checkpoint round-trip
 //! microbenchmarks, serialized to `BENCH_<pr>.json` at the repo root
-//! (`--pr` selects the trajectory point, currently 14).
+//! (`--pr` selects the trajectory point, currently 15).
 //!
 //! ```sh
 //! cargo run --release --bin myrtus-bench                 # full profile
@@ -17,7 +17,9 @@
 //! armed — so both backends pay their event-queue *and* task-table
 //! costs (~4 queue ops and ~6 table ops per task). Each backend runs in
 //! a child process (`--phase`), so peak RSS (`VmHWM`) is attributed per
-//! backend instead of being smeared by whichever ran first.
+//! backend instead of being smeared by whichever ran first. Each child
+//! also records its `VmRSS` once the nodes are built, so the growth
+//! from there to the peak, per task, is the backend's bytes per task.
 //!
 //! Gates built into every run:
 //! * **double-run identity** — each backend phase runs twice and must
@@ -69,13 +71,14 @@ fn fnv1a(hash: u64, value: u64) -> u64 {
     h
 }
 
-/// Peak resident set of this process, KiB (`VmHWM` from procfs); 0 when
-/// unavailable (non-Linux).
-fn vm_hwm_kb() -> u64 {
+/// A KiB figure of this process from procfs (`"VmHWM:"` is the peak
+/// resident set, `"VmRSS:"` the current one); 0 when unavailable
+/// (non-Linux).
+fn proc_status_kb(key: &str) -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return 0 };
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(key))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
         .unwrap_or(0)
 }
@@ -116,7 +119,16 @@ struct PhaseResult {
     events_per_sec: f64,
     tasks_per_sec: f64,
     peak_rss_kb: u64,
+    /// Resident set once the nodes are built, before any event.
+    base_rss_kb: u64,
     fingerprint: u64,
+}
+
+impl PhaseResult {
+    /// Peak resident growth over the node-setup base, bytes per task.
+    fn bytes_per_task(&self) -> f64 {
+        self.peak_rss_kb.saturating_sub(self.base_rss_kb) as f64 * 1024.0 / self.completed as f64
+    }
 }
 
 /// One measured engine run (executed inside a `--phase` child process).
@@ -132,6 +144,7 @@ fn run_phase(backend: EngineBackend, nodes: u64, tasks: u64) -> PhaseResult {
         attempt_timeout: Some(ATTEMPT_TIMEOUT),
         ..RetryPolicy::default()
     }));
+    let base_rss_kb = proc_status_kb("VmRSS:");
     let mut driver =
         StormDriver { node_count: nodes, completed: 0, fingerprint: 0xcbf2_9ce4_8422_2325 };
 
@@ -151,7 +164,8 @@ fn run_phase(backend: EngineBackend, nodes: u64, tasks: u64) -> PhaseResult {
         wall_s,
         events_per_sec: events as f64 / wall_s,
         tasks_per_sec: driver.completed as f64 / wall_s,
-        peak_rss_kb: vm_hwm_kb(),
+        peak_rss_kb: proc_status_kb("VmHWM:"),
+        base_rss_kb,
         fingerprint: driver.fingerprint,
     }
 }
@@ -259,13 +273,14 @@ fn phase_json(backend: &str, r: &PhaseResult) -> String {
     format!(
         "{{\"backend\":\"{backend}\",\"events\":{},\"completed\":{},\"wall_s\":{:.4},\
          \"events_per_sec\":{:.1},\"tasks_per_sec\":{:.1},\"peak_rss_kb\":{},\
-         \"fingerprint\":\"{:016x}\"}}",
+         \"base_rss_kb\":{},\"fingerprint\":\"{:016x}\"}}",
         r.events,
         r.completed,
         r.wall_s,
         r.events_per_sec,
         r.tasks_per_sec,
         r.peak_rss_kb,
+        r.base_rss_kb,
         r.fingerprint,
     )
 }
@@ -278,6 +293,7 @@ fn parse_phase(json: &str) -> PhaseResult {
         events_per_sec: json_f64(json, "events_per_sec").expect("events_per_sec"),
         tasks_per_sec: json_f64(json, "tasks_per_sec").expect("tasks_per_sec"),
         peak_rss_kb: json_f64(json, "peak_rss_kb").expect("peak_rss_kb") as u64,
+        base_rss_kb: json_f64(json, "base_rss_kb").expect("base_rss_kb") as u64,
         fingerprint: u64::from_str_radix(&json_str(json, "fingerprint").expect("fp"), 16)
             .expect("hex fingerprint"),
     }
@@ -324,7 +340,7 @@ fn main() {
     // The quick profile still runs long enough (~0.3 s per phase) for
     // the 20% regression floor to sit above run-to-run noise.
     let (nodes, tasks) = if quick { (10_000, 200_000) } else { (50_000, 1_000_000) };
-    let pr: u32 = flag_val("--pr").map_or(14, |v| v.parse().expect("--pr takes a PR number"));
+    let pr: u32 = flag_val("--pr").map_or(15, |v| v.parse().expect("--pr takes a PR number"));
     let out_path = flag_val("--out").unwrap_or_else(|| format!("BENCH_{pr}.json"));
 
     eprintln!("engine-core storm: {nodes} nodes, {tasks} tasks, 2 runs per backend");
@@ -364,8 +380,10 @@ fn main() {
          \"nodes\": {nodes},\n  \"tasks\": {tasks},\n  \"events\": {},\n  \
          \"wheel_wall_s\": {:.4},\n  \"wheel_events_per_sec\": {:.1},\n  \
          \"wheel_tasks_per_sec\": {:.1},\n  \"wheel_peak_rss_kb\": {},\n  \
+         \"wheel_bytes_per_task\": {:.1},\n  \
          \"heap_wall_s\": {:.4},\n  \"heap_events_per_sec\": {:.1},\n  \
          \"heap_tasks_per_sec\": {:.1},\n  \"heap_peak_rss_kb\": {},\n  \
+         \"heap_bytes_per_task\": {:.1},\n  \
          \"speedup_events_per_sec\": {:.2},\n  \
          \"scrape_samples_per_pass\": {},\n  \"scrape_ns_per_sample\": {:.1},\n  \
          \"vm_steps_per_sec\": {:.1},\n  \"vm_branch_steps_per_sec\": {:.1},\n  \
@@ -378,10 +396,12 @@ fn main() {
         wheel.events_per_sec,
         wheel.tasks_per_sec,
         wheel.peak_rss_kb,
+        wheel.bytes_per_task(),
         heap.wall_s,
         heap.events_per_sec,
         heap.tasks_per_sec,
         heap.peak_rss_kb,
+        heap.bytes_per_task(),
         speedup,
         scrape_samples / 4,
         scrape_ns,
@@ -403,6 +423,7 @@ fn main() {
             num(wheel.events_per_sec / 1e6, 2),
             num(wheel.tasks_per_sec / 1e6, 2),
             format!("{}", wheel.peak_rss_kb / 1024),
+            num(wheel.bytes_per_task(), 0),
         ],
         vec![
             "heap+hash".to_string(),
@@ -410,13 +431,14 @@ fn main() {
             num(heap.events_per_sec / 1e6, 2),
             num(heap.tasks_per_sec / 1e6, 2),
             format!("{}", heap.peak_rss_kb / 1024),
+            num(heap.bytes_per_task(), 0),
         ],
     ];
     println!(
         "{}",
         render_table(
             &format!("engine core — {nodes} nodes, {tasks} tasks ({} events)", wheel.events),
-            &["backend", "wall s", "Mevents/s", "Mtasks/s", "peak RSS MiB"],
+            &["backend", "wall s", "Mevents/s", "Mtasks/s", "peak RSS MiB", "B/task"],
             &rows,
         )
     );

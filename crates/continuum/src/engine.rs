@@ -95,11 +95,16 @@ impl Ord for QueuedEvent {
 
 /// Internal event kinds driven through the queue.
 ///
-/// The two task-carrying variants box their [`TaskInstance`] so the
-/// enum stays pointer-sized-small: every *queue-resident* event
-/// (timers, finishes, timeout guards — the ones that sit in the wheel
-/// or heap by the million) would otherwise pay the largest variant's
-/// ~100-byte footprint in storage, copies and cache misses.
+/// Three payloads are boxed: the task-carrying variants'
+/// [`TaskInstance`] (128 B), the delivered [`Message`] (48 B) and the
+/// shed notification's node, task and reason as one [`ShedNotice`].
+/// Every other variant carries at most 20 B inline, so the enum is
+/// 24 B and a queue entry — a wheel `(at, seq, EventKind)` or a heap
+/// [`QueuedEvent`] — is 40 B. Every *queue-resident* event (timers, finishes, timeout guards —
+/// the ones that sit in the wheel or heap by the million) would
+/// otherwise pay the largest variant's footprint on each push,
+/// cascade, sort and pop. The assertion below the enum turns a new
+/// inline payload into a compile error.
 #[derive(Debug)]
 enum EventKind {
     TaskArrival {
@@ -112,7 +117,7 @@ enum EventKind {
         epoch: u64,
     },
     MsgDeliver {
-        msg: Message,
+        msg: Box<Message>,
     },
     NodeDown(NodeId),
     NodeUp(NodeId),
@@ -151,11 +156,7 @@ enum EventKind {
     /// admission decision is taken synchronously inside the submit
     /// call, but the driver only learns about it through the queue
     /// (same instant, later seq) so submits never re-enter the driver.
-    NotifyShed {
-        node: NodeId,
-        task: TaskInstance,
-        reason: &'static str,
-    },
+    NotifyShed(Box<ShedNotice>),
     /// Periodic VM progress slice for a bodied task resident on `node`
     /// (only armed with a VM runtime installed; re-arms itself while
     /// the task stays resident). `epoch` invalidates slices armed for
@@ -166,6 +167,17 @@ enum EventKind {
         task: TaskId,
         epoch: u64,
     },
+}
+
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
+
+/// Payload of [`EventKind::NotifyShed`], boxed as one unit so neither
+/// the task nor the `&'static str` reason widens the enum.
+#[derive(Debug)]
+struct ShedNotice {
+    node: NodeId,
+    task: TaskInstance,
+    reason: &'static str,
 }
 
 /// Which data structures back the engine hot path.
@@ -879,10 +891,14 @@ impl SimCore {
         id
     }
 
+    /// Queues `kind` at `at`, clamped to the current instant: an
+    /// instant that has already passed fires now, after the events
+    /// already queued for now, so the clock never runs backwards on
+    /// either backend.
     fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, kind);
+        self.queue.push(at.max(self.now), seq, kind);
     }
 
     /// Registers a timer that fires `after` from now, carrying `tag`.
@@ -949,7 +965,7 @@ impl SimCore {
         );
         self.tasks.mark_finished(raw);
         self.tasks.clear_attempts(raw);
-        self.push(self.now, EventKind::NotifyShed { node, task, reason });
+        self.push(self.now, EventKind::NotifyShed(Box::new(ShedNotice { node, task, reason })));
     }
 
     /// Records a task passing admission control (policy installed only,
@@ -1516,7 +1532,7 @@ impl SimCore {
         let id = self.fresh_msg_id();
         let msg = Message { id, src, dst, payload_bytes, protocol, sent: self.now, tag };
         let eta = self.network.transfer(self.now, &path, payload_bytes, protocol);
-        self.push(eta, EventKind::MsgDeliver { msg });
+        self.push(eta, EventKind::MsgDeliver { msg: Box::new(msg) });
         Ok(id)
     }
 
@@ -1542,7 +1558,7 @@ impl SimCore {
         let id = self.fresh_msg_id();
         let msg = Message { id, src, dst, payload_bytes, protocol, sent: self.now, tag };
         let eta = self.network.transfer(self.now, path, payload_bytes, protocol);
-        self.push(eta, EventKind::MsgDeliver { msg });
+        self.push(eta, EventKind::MsgDeliver { msg: Box::new(msg) });
         Ok(id)
     }
 
@@ -1568,22 +1584,26 @@ impl SimCore {
         Ok(())
     }
 
-    /// Schedules a link cut at `at`.
+    /// Schedules a link cut at `at`. An `at` that has already passed
+    /// fires at the current instant.
     pub fn schedule_link_down(&mut self, link: crate::ids::LinkId, at: SimTime) {
         self.push(at, EventKind::LinkDown(link));
     }
 
-    /// Schedules a link restoration at `at`.
+    /// Schedules a link restoration at `at`. An `at` that has already passed
+    /// fires at the current instant.
     pub fn schedule_link_up(&mut self, link: crate::ids::LinkId, at: SimTime) {
         self.push(at, EventKind::LinkUp(link));
     }
 
-    /// Schedules a node failure at `at`.
+    /// Schedules a node failure at `at`. An `at` that has already passed
+    /// fires at the current instant.
     pub fn schedule_node_down(&mut self, node: NodeId, at: SimTime) {
         self.push(at, EventKind::NodeDown(node));
     }
 
-    /// Schedules a node recovery at `at`.
+    /// Schedules a node recovery at `at`. An `at` that has already passed
+    /// fires at the current instant.
     pub fn schedule_node_up(&mut self, node: NodeId, at: SimTime) {
         self.push(at, EventKind::NodeUp(node));
     }
@@ -1764,7 +1784,7 @@ impl SimCore {
                 driver.on_event(self, SimEvent::TaskCompleted(outcome));
             }
             EventKind::MsgDeliver { msg } => {
-                driver.on_event(self, SimEvent::MessageDelivered(msg));
+                driver.on_event(self, SimEvent::MessageDelivered(*msg));
             }
             EventKind::NodeDown(node) => {
                 let now = self.now;
@@ -1907,7 +1927,8 @@ impl SimCore {
             EventKind::NotifyStarted { node, task, mode } => {
                 driver.on_event(self, SimEvent::TaskStarted { node, task, mode });
             }
-            EventKind::NotifyShed { node, task, reason } => {
+            EventKind::NotifyShed(shed) => {
+                let ShedNotice { node, task, reason } = *shed;
                 driver.on_event(self, SimEvent::TaskShed { node, task, reason });
             }
             EventKind::VmSlice { node, task, epoch } => {
@@ -2239,6 +2260,66 @@ mod tests {
         assert_eq!(rec.messages.len(), 1);
         assert_eq!(rec.messages[0].tag, 7);
         assert_eq!(rec.messages[0].dst, b);
+    }
+
+    #[test]
+    fn boxed_shed_and_message_payloads_arrive_whole_on_both_backends() {
+        /// Keeps every shed notification and delivered message whole.
+        #[derive(Default)]
+        struct Payloads {
+            shed: Vec<(NodeId, TaskInstance, &'static str)>,
+            messages: Vec<Message>,
+        }
+        impl Driver for Payloads {
+            fn on_event(&mut self, _sim: &mut SimCore, event: SimEvent) {
+                match event {
+                    SimEvent::TaskShed { node, task, reason } => {
+                        self.shed.push((node, task, reason));
+                    }
+                    SimEvent::MessageDelivered(m) => self.messages.push(m),
+                    _ => {}
+                }
+            }
+        }
+
+        for backend in [EngineBackend::Wheel, EngineBackend::Heap] {
+            let mut sim = SimCore::new();
+            sim.set_backend(backend);
+            let a = sim.add_node(NodeSpec::preset_edge_multicore("a"));
+            let b = sim.add_node(NodeSpec::preset_fog_gateway("b"));
+            sim.network_mut().add_duplex(a, b, SimDuration::from_millis(3), 50.0);
+            // No token ever: every best-effort submission sheds.
+            sim.set_admission(Some(AdmissionPolicy {
+                rate_per_window: 0,
+                max_delay: SimDuration::ZERO,
+                ..AdmissionPolicy::default()
+            }));
+            let mut rec = Payloads::default();
+            sim.run_until(SimTime::from_millis(5), &mut rec);
+
+            let task = TaskInstance::new(sim.fresh_task_id(), 2.5)
+                .with_mem_mb(96)
+                .with_io_bytes(4_096, 512)
+                .with_accel(3)
+                .with_deadline(SimTime::from_millis(40))
+                .with_released(SimTime::from_millis(4))
+                .with_tag(0xfeed);
+            sim.submit_local(b, task.clone()).expect("shed is not an error");
+            let id = sim.send_message(a, b, 1_500, Protocol::Mqtt, 7).expect("routable");
+            sim.run_until(SimTime::from_secs(1), &mut rec);
+
+            assert_eq!(rec.shed, vec![(b, task, "rate_limit")], "{backend:?}");
+            let sent = Message {
+                id,
+                src: a,
+                dst: b,
+                payload_bytes: 1_500,
+                protocol: Protocol::Mqtt,
+                sent: SimTime::from_millis(5),
+                tag: 7,
+            };
+            assert_eq!(rec.messages, vec![sent], "{backend:?}");
+        }
     }
 
     #[test]

@@ -153,7 +153,8 @@ impl FaultPlan {
         plan
     }
 
-    /// Schedules every fault on the core.
+    /// Schedules every fault on the core. A fault whose instant the
+    /// core has already passed fires at the current instant.
     pub fn apply(&self, sim: &mut SimCore) {
         for f in &self.faults {
             sim.schedule_node_down(f.node, f.at);

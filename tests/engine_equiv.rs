@@ -8,18 +8,19 @@
 //! chaos, and the elastic-serving surge.
 
 use myrtus::continuum::admission::AdmissionPolicy;
-use myrtus::continuum::engine::EngineBackend;
+use myrtus::continuum::engine::{Driver, EngineBackend, SimCore, SimEvent};
 use myrtus::continuum::fault::FaultPlan;
 use myrtus::continuum::ids::{LinkId, NodeId};
 use myrtus::continuum::net::Protocol;
-use myrtus::continuum::node::Layer;
+use myrtus::continuum::node::{Layer, NodeSpec};
 use myrtus::continuum::retry::RetryPolicy;
+use myrtus::continuum::task::TaskInstance;
 use myrtus::continuum::time::{SimDuration, SimTime};
 use myrtus::continuum::topology::{Continuum, ContinuumBuilder};
 use myrtus::mirto::engine::{EngineConfig, OrchestrationEngine, OrchestrationReport};
 use myrtus::mirto::managers::elasticity::ElasticityConfig;
 use myrtus::mirto::policies::GreedyBestFit;
-use myrtus::obs::ObsConfig;
+use myrtus::obs::{Obs, ObsConfig};
 use myrtus::workload::arrival::ArrivalSpec;
 use myrtus::workload::scenarios;
 use myrtus::workload::tosca::{Application, Component, ComponentKind};
@@ -290,4 +291,57 @@ fn engine_keeps_the_backend_chosen_on_the_core() {
         .expect("placeable");
     assert!(report.apps.iter().any(|a| a.completed > 0), "the heap run completed no request");
     assert_eq!(continuum.sim().backend(), EngineBackend::Heap);
+}
+
+/// Every surfaced event, stamped with the core's clock at delivery.
+#[derive(Default)]
+struct ClockedEvents(Vec<(u64, String)>);
+
+impl Driver for ClockedEvents {
+    fn on_event(&mut self, sim: &mut SimCore, event: SimEvent) {
+        self.0.push((sim.now().as_micros(), format!("{event:?}")));
+    }
+}
+
+/// Runs a bare core to 10 ms, then applies a crash-and-recover plan
+/// whose instants (5 ms and 7 ms) have already passed, and runs on.
+/// Returns the clocked event log and the trace and metrics exports.
+fn past_fault_run(backend: EngineBackend) -> (Vec<(u64, String)>, [String; 2]) {
+    let mut sim = SimCore::new();
+    sim.set_backend(backend);
+    sim.set_obs(Obs::new(ObsConfig::on()));
+    let node = sim.add_node(NodeSpec::preset_edge_multicore("n"));
+    // A ~100 ms task is running when the crash lands; the timer makes
+    // 10 ms the last instant the queue itself has reached.
+    let task = TaskInstance::new(sim.fresh_task_id(), 150.0);
+    sim.submit_local(node, task).expect("node is up");
+    sim.set_timer(SimDuration::from_millis(10), 1);
+    let mut events = ClockedEvents::default();
+    sim.run_until(SimTime::from_millis(10), &mut events);
+    FaultPlan::new()
+        .crash(node, SimTime::from_millis(5), Some(SimDuration::from_millis(2)))
+        .apply(&mut sim);
+    sim.run_until(SimTime::from_millis(200), &mut events);
+    (events.0, [sim.obs().export_trace_jsonl(), sim.obs().export_metrics_jsonl()])
+}
+
+#[test]
+fn a_fault_scheduled_in_the_past_fires_now_on_both_backends() {
+    let (wheel_events, wheel_exports) = past_fault_run(EngineBackend::Wheel);
+    let (heap_events, heap_exports) = past_fault_run(EngineBackend::Heap);
+    for (backend, events) in [("wheel", &wheel_events), ("heap", &heap_events)] {
+        let at = |prefix: &str| events.iter().find(|(_, e)| e.starts_with(prefix)).map(|&(t, _)| t);
+        assert_eq!(at("TasksLost"), Some(10_000), "{backend}: the crash fires at 10 ms");
+        assert_eq!(at("NodeRestored"), Some(10_000), "{backend}: the recovery fires at 10 ms");
+        assert!(
+            events.windows(2).all(|w| w[0].0 <= w[1].0),
+            "{backend}: the clock ran backwards: {events:?}"
+        );
+    }
+    assert_eq!(wheel_events, heap_events, "event logs differ between backends");
+    assert!(
+        wheel_exports[0].contains("\"at_us\":10000,\"type\":\"node_crash\""),
+        "the trace has no crash at 10 ms"
+    );
+    assert!(wheel_exports == heap_exports, "exports differ between wheel and heap backends");
 }
