@@ -492,13 +492,12 @@ impl Network {
 ///
 /// Byte counts are used as exact (degenerate) bucket keys: DAG edges
 /// reuse a small set of payload sizes, and exact keys keep cached
-/// results bit-identical to the uncached path — the determinism contract
-/// the parallel evaluators rely on.
+/// results bit-identical to the uncached path.
 ///
 /// A stale snapshot clears the memo on the next lookup, so a long-lived
 /// cache (e.g. owned by an orchestration engine across monitoring
-/// rounds) is always safe to reuse. Interior locking makes the cache
-/// shareable across scoring threads.
+/// rounds) is always safe to reuse. Interior locking lets evaluators
+/// share the cache by reference.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     routes: Mutex<RouteMemo>,
@@ -647,7 +646,7 @@ impl RouteCache {
 
 /// Cheap, copyable handle binding a [`Network`], a plan instant and a
 /// [`RouteCache`]: the object plan-time evaluators thread through
-/// (possibly parallel) candidate scoring.
+/// candidate scoring.
 ///
 /// All lookups go through the cache; results are exactly what the
 /// uncached [`Network::route`]/[`Network::estimate_transfer`] pair

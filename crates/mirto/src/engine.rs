@@ -469,9 +469,7 @@ pub struct OrchestrationEngine {
     shed: HashMap<u16, u64>,
     misses: HashMap<u16, u64>,
     /// Shared observability handle, cloned into the simulator, the plan
-    /// cache and the deployment proxy. Trace events are only emitted
-    /// from this (serial) driver context; parallel scoring paths record
-    /// counters only, keeping output deterministic.
+    /// cache and the deployment proxy.
     obs: Obs,
 }
 

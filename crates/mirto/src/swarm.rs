@@ -75,35 +75,21 @@ impl PsoPlacement {
 /// Greedy coordinate descent: repeatedly sweeps the components, moving
 /// each to its best candidate under the objective, until a full sweep
 /// yields no improvement (memetic polish shared by PSO and ACO).
-///
-/// The candidate moves of one component are scored in parallel (each
-/// against the same base assignment); the first-wins argmin below stays
-/// serial and in candidate order, so the descent path is bit-identical
-/// to a fully serial sweep.
 fn coordinate_polish(
     ctx: &PlanContext<'_>,
     mut assignment: Vec<NodeId>,
-    objective: &(dyn Fn(&[NodeId]) -> f64 + Sync),
+    objective: &dyn Fn(&[NodeId]) -> f64,
 ) -> (Vec<NodeId>, f64) {
-    use rayon::prelude::*;
     let mut best_score = objective(&assignment);
     loop {
         let mut improved = false;
         for d in 0..assignment.len() {
+            // First-wins argmin over the other candidates of component `d`.
             let original = assignment[d];
-            let cands: Vec<NodeId> =
-                ctx.candidates[d].iter().copied().filter(|&c| c != original).collect();
-            let base = &assignment;
-            let scores: Vec<f64> = cands
-                .par_iter()
-                .map(|&cand| {
-                    let mut trial = base.clone();
-                    trial[d] = cand;
-                    objective(&trial)
-                })
-                .collect();
             let mut best_here = (original, best_score);
-            for (&cand, &s) in cands.iter().zip(&scores) {
+            for &cand in ctx.candidates[d].iter().filter(|&&c| c != original) {
+                assignment[d] = cand;
+                let s = objective(&assignment);
                 if s < best_here.1 {
                     best_here = (cand, s);
                 }
@@ -185,11 +171,8 @@ impl PlacementPolicy for PsoPlacement {
 
         self.last_trace.clear();
         // Batch-synchronous sweeps: every particle of an iteration moves
-        // against the global best of the *previous* iteration, so the
-        // move phase (the only RNG consumer) is a pure serial prefix and
-        // the scoring phase is an embarrassingly parallel map. Bests are
-        // then folded serially in particle order, which makes the whole
-        // iteration independent of thread count.
+        // against the global best of the *previous* iteration, then the
+        // swarm is scored and bests are folded in particle order.
         for iter in 0..self.iterations {
             for p in 0..self.particles {
                 // Periodic scatter: one quarter of the swarm restarts from
@@ -212,10 +195,7 @@ impl PlacementPolicy for PsoPlacement {
                     }
                 }
             }
-            let scores: Vec<f64> = {
-                use rayon::prelude::*;
-                positions.par_iter().map(|p| objective(p)).collect()
-            };
+            let scores: Vec<f64> = positions.iter().map(|p| objective(p)).collect();
             for (p, &score) in scores.iter().enumerate() {
                 if score < personal_score[p] {
                     personal_score[p] = score;
@@ -314,11 +294,9 @@ impl PlacementPolicy for AcoPlacement {
 
         self.last_trace.clear();
         for _ in 0..self.iterations {
-            // Construct every ant's trail serially (the roulette wheel is
-            // the only RNG consumer and pheromone only updates after the
-            // whole colony has walked), then score the colony in
-            // parallel. Selection folds in ant order, so the result is
-            // bit-identical to the fully serial colony.
+            // Construct every ant's trail (pheromone only updates after
+            // the whole colony has walked), then score the colony.
+            // Selection folds in ant order.
             let trails: Vec<Vec<usize>> = (0..self.ants)
                 .map(|_| {
                     let mut choice_idx = Vec::with_capacity(dims);
@@ -339,21 +317,15 @@ impl PlacementPolicy for AcoPlacement {
                     choice_idx
                 })
                 .collect();
-            let scored: Vec<(Vec<NodeId>, f64)> = {
-                use rayon::prelude::*;
-                trails
-                    .par_iter()
-                    .map(|choice_idx| {
-                        let assignment: Vec<NodeId> = choice_idx
-                            .iter()
-                            .enumerate()
-                            .map(|(d, &k)| ctx.candidates[d][k])
-                            .collect();
-                        let score = objective(&assignment);
-                        (assignment, score)
-                    })
-                    .collect()
-            };
+            let scored: Vec<(Vec<NodeId>, f64)> = trails
+                .iter()
+                .map(|choice_idx| {
+                    let assignment: Vec<NodeId> =
+                        choice_idx.iter().enumerate().map(|(d, &k)| ctx.candidates[d][k]).collect();
+                    let score = objective(&assignment);
+                    (assignment, score)
+                })
+                .collect();
             let mut iteration_best: Option<(Vec<usize>, f64)> = None;
             for (choice_idx, (assignment, score)) in trails.into_iter().zip(scored) {
                 if iteration_best.as_ref().is_none_or(|(_, s)| score < *s) {

@@ -17,9 +17,6 @@
 //! * **Zero overhead when disabled.** [`Obs`] wraps an
 //!   `Option<Arc<..>>`; the disabled handle is `None` and every
 //!   recording call is a single branch on it.
-//! * **Serial-context traces only.** Trace events must be emitted from
-//!   deterministic (serial) code paths; parallel scoring paths record
-//!   only order-independent counter totals.
 //!
 //! ```
 //! use myrtus_obs::{Obs, ObsConfig, TraceKind};
